@@ -44,10 +44,6 @@ type Config struct {
 	// Cycles is how many full drift→retrain→shadow→swap cycles to run
 	// (default 1; the nightly soak runs several).
 	Cycles int
-	// BatchWindows forwards to the daemon's monitor: > 1 scores that many
-	// windows per stacked model invocation. The nightly soak forces it on
-	// so the batched path sees chaos at full depth.
-	BatchWindows int
 	// RecallFloor is the minimum fault recall over the clean-phase
 	// window (default 0.2) — chaos may cost detection latency, but the
 	// detector must keep finding real anomalies through it.
@@ -341,7 +337,6 @@ func (s *soak) start() (func() error, error) {
 		Layouts:        layouts,
 		ScoringWorkers: 3,
 		AlertBuffer:    1024,
-		BatchWindows:   s.cfg.BatchWindows,
 		Shards:         shards,
 		QueueSize:      256,
 		Policy:         ingest.Block,

@@ -135,10 +135,6 @@ func TestSoakLong(t *testing.T) {
 		Det:          det,
 		TrainOptions: fastOptions(),
 		Cycles:       3,
-		// The nightly soak runs with the batched scoring path forced on:
-		// equivalence tests pin batched == sequential byte-for-byte, and
-		// this keeps the batcher's locking honest under chaos + -race.
-		BatchWindows: 4,
 	})
 	if err != nil {
 		t.Fatalf("long soak: %v\nreport: %+v", err, rep)

@@ -386,12 +386,10 @@ type trainWindow struct {
 // within-segment positions and the segment id for the enhanced positional
 // encoding.
 func segmentWindows(f *mts.NodeFrame, seg mts.Segment, segID, winLen int) []trainWindow {
-	n := seg.Len()
-	if n <= 0 {
-		return nil
-	}
 	var out []trainWindow
-	emit := func(lo, hi int) {
+	n := seg.Len()
+	for next := 0; next < n; {
+		lo, hi := windowAt(next, n, winLen)
 		w := trainWindow{
 			x:         mat.New(hi-lo, f.NumMetrics()),
 			positions: make([]int, hi-lo),
@@ -406,19 +404,20 @@ func segmentWindows(f *mts.NodeFrame, seg mts.Segment, segID, winLen int) []trai
 			w.segIDs[t-lo] = segID
 		}
 		out = append(out, w)
-	}
-	if n <= winLen {
-		emit(0, n)
-		return out
-	}
-	lo := 0
-	for ; lo+winLen <= n; lo += winLen {
-		emit(lo, lo+winLen)
-	}
-	if lo < n {
-		emit(n-winLen, n)
+		next = hi
 	}
 	return out
+}
+
+// windowAt returns the bounds of the tiling window that starts at lo in a
+// span of n samples: [lo, lo+winLen) when it fits, else the window aligned
+// to the span's end (the whole span when n < winLen). Walking next = hi
+// from 0 to n yields the full windows, then the tail.
+func windowAt(lo, n, winLen int) (int, int) {
+	if lo+winLen > n {
+		return max(n-winLen, 0), n
+	}
+	return lo, lo + winLen
 }
 
 func sortedNodes(frames map[string]*mts.NodeFrame) []string {

@@ -117,22 +117,35 @@ func (d *Detector) matchSegment(f *mts.NodeFrame, seg mts.Segment) SegmentAssign
 	}
 }
 
-// scoreSegment reconstructs the segment with its cluster's shared model and
-// writes the per-sample weighted reconstruction errors into scores.
+// scoreSegment scores the segment with cluster c's shared model, writing
+// one normalized reconstruction error per sample into
+// scores[seg.Lo:seg.Hi]. Windows follow segmentWindows' tiling — full
+// windows, then a tail window aligned to the segment end, written last —
+// with job-true positions starting at seg.Offset.
 func (d *Detector) scoreSegment(f *mts.NodeFrame, seg mts.Segment, c int, scores []float64) {
-	cm := d.library[c]
+	n := seg.Len()
+	for next := 0; next < n; {
+		lo, hi := windowAt(next, n, d.opts.WindowLen)
+		d.scoreWindow(d.library[c], f, seg.Lo+lo, seg.Lo+hi, seg.Offset+lo, scores[seg.Lo+lo:seg.Lo+hi])
+		next = hi
+	}
+}
+
+// scoreWindow is the detector's one way to score a window: it packs frame
+// rows [lo, hi) into scratch with positions pos, pos+1, …, runs the cluster
+// model's Forward (nil segment ids: one segment), and writes the weighted
+// reconstruction errors divided by the cluster's score scale into dst.
+func (d *Detector) scoreWindow(cm *clusterModel, f *mts.NodeFrame, lo, hi, pos int, dst []float64) {
+	s := &d.scratch
+	s.windowInto(f, lo, hi, pos)
+	pred := cm.model.Forward(s.x, s.positions, nil)
+	nn.ReconErrorsInto(dst, pred, s.x, cm.weights)
 	inv := 1.0
 	if cm.scale > 0 {
 		inv = 1 / cm.scale
 	}
-	for _, w := range segmentWindows(f, seg, 0, d.opts.WindowLen) {
-		out := cm.model.Forward(w.x, w.positions, w.segIDs)
-		errs := nn.ReconErrors(out, w.x, cm.weights)
-		for i, e := range errs {
-			// positions carry the job-true offset; subtract it to recover
-			// the frame index.
-			scores[seg.Lo+w.positions[i]-seg.Offset] = e * inv
-		}
+	for t := range dst {
+		dst[t] *= inv
 	}
 }
 
@@ -169,38 +182,46 @@ func Debounce(preds []bool, minRun int) []bool {
 }
 
 // KSigmaThreshold is the paper's dynamic thresholding rule (§3.5): a sample
-// is anomalous when its score exceeds mean + k·sigma of the scores in the
-// sliding window preceding it. A sigma floor proportional to the window
-// mean keeps perfectly flat windows from flagging noise. The same rule is
-// applied to every baseline for a fair comparison.
+// is anomalous when its score exceeds KSigmaBound at its index. The same
+// rule is applied to every baseline for a fair comparison.
 func KSigmaThreshold(scores []float64, step, windowSec int64, k float64) []bool {
+	preds := make([]bool, len(scores))
+	for t := range scores {
+		preds[t] = scores[t] > KSigmaBound(scores, t, step, windowSec, k)
+	}
+	return preds
+}
+
+// KSigmaBound is the k-sigma bound the score at index t is compared
+// against: mean + k·sigma of the windowSec/step (at least 4) scores
+// preceding t. With fewer than 4 preceding scores the window falls back to
+// the head of the stream, and a sigma floor proportional to the window mean
+// keeps perfectly flat windows from flagging noise. t may equal
+// len(scores), giving the bound the next score will face; an empty window
+// gives 0.
+func KSigmaBound(scores []float64, t int, step, windowSec int64, k float64) float64 {
 	w := int(windowSec / step)
 	if w < 4 {
 		w = 4
 	}
-	preds := make([]bool, len(scores))
-	for t := range scores {
-		lo := t - w
-		if lo < 0 {
-			lo = 0
-		}
-		win := scores[lo:t]
-		if len(win) < 4 {
-			// Too little history: compare against the global head.
-			hi := w
-			if hi > len(scores) {
-				hi = len(scores)
-			}
-			win = scores[:hi]
-		}
-		mean, sd := stats.MeanStd(win)
-		floor := 0.1*mean + 1e-9
-		if sd < floor {
-			sd = floor
-		}
-		preds[t] = scores[t] > mean+k*sd
+	lo := t - w
+	if lo < 0 {
+		lo = 0
 	}
-	return preds
+	win := scores[lo:t]
+	if len(win) < 4 {
+		// Too little history: compare against the global head.
+		win = scores[:min(w, len(scores))]
+	}
+	if len(win) == 0 {
+		return 0
+	}
+	mean, sd := stats.MeanStd(win)
+	floor := 0.1*mean + 1e-9
+	if sd < floor {
+		sd = floor
+	}
+	return mean + k*sd
 }
 
 // featureVector extracts a segment's normalized (and, when configured,
@@ -232,31 +253,8 @@ func (d *Detector) ScoreFrame(frame *mts.NodeFrame, cluster int, offset int) []f
 		return make([]float64, frame.Len())
 	}
 	f := d.preprocessInto(frame)
-	n := f.Len()
-	scores := make([]float64, n)
-	if n > 0 && n <= d.opts.WindowLen {
-		// Streaming fast path: the frame is a single model window, so the
-		// window matrix is packed straight into detector scratch instead
-		// of going through segmentWindows' per-call allocations. The
-		// arithmetic is the window-for-window same as scoreSegment's.
-		cm := d.library[cluster]
-		inv := 1.0
-		if cm.scale > 0 {
-			inv = 1 / cm.scale
-		}
-		s := &d.scratch
-		s.x = growMat(s.x, n, d.red.NumOutput())
-		s.positions = mat.GrowInts(s.positions, n)
-		s.segIDs = mat.GrowInts(s.segIDs, n)
-		s.windowInto(f, 0, n, offset)
-		pred := cm.model.ForwardWindows(s.x, n, s.positions, s.segIDs)
-		nn.ReconErrorsInto(scores, pred, s.x, cm.weights)
-		for t := range scores {
-			scores[t] *= inv
-		}
-		return scores
-	}
-	seg := mts.Segment{Node: f.Node, Job: mts.IdleJobID, Lo: 0, Hi: n, Offset: offset}
+	scores := make([]float64, f.Len())
+	seg := mts.Segment{Node: f.Node, Job: mts.IdleJobID, Lo: 0, Hi: f.Len(), Offset: offset}
 	d.scoreSegment(f, seg, cluster, scores)
 	return scores
 }

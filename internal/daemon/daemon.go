@@ -42,9 +42,7 @@ type Config struct {
 	ScoringWorkers int
 	// AlertBuffer is the monitor's alert channel capacity (default 256).
 	AlertBuffer int
-	// BatchWindows, when > 1, batches that many post-transition windows
-	// across nodes into one stacked model invocation (see runtime.Config;
-	// scores and alerts stay byte-identical to the sequential path).
+	// Deprecated: ignored (scores are identical either way).
 	BatchWindows int
 
 	// Shards / QueueSize / Policy parameterize the shard router.
@@ -161,7 +159,6 @@ func New(cfg Config) (*Daemon, error) {
 		Step:           cfg.Step,
 		ScoringWorkers: cfg.ScoringWorkers,
 		AlertBuffer:    cfg.AlertBuffer,
-		BatchWindows:   cfg.BatchWindows,
 		Metrics:        cfg.Metrics,
 		Logger:         cfg.Logger,
 	})

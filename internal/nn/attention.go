@@ -11,22 +11,12 @@ import (
 // MultiHeadAttention is standard multi-head self-attention over a token
 // sequence: softmax(QKᵀ/√dk)V per head, heads concatenated and projected.
 // The model dimension must be divisible by the head count.
-//
-// When blockLen is set to a divisor of the token count, attention is
-// block-diagonal: tokens only attend within their own blockLen-sized block.
-// That is what makes batched window scoring byte-identical to scoring the
-// windows one at a time — each window is one block, and every other kernel
-// in the model is already per-row.
 type MultiHeadAttention struct {
 	Heads int
 	Dim   int // model dimension
 	dk    int
 
 	Wq, Wk, Wv, Wo *Param
-
-	// blockLen > 0 restricts attention to blockLen×blockLen diagonal
-	// blocks. 0 (or the full token count) means dense attention.
-	blockLen int
 
 	// forward caches
 	x       *mat.Matrix
@@ -63,11 +53,11 @@ func (a *MultiHeadAttention) headViewInto(dst, m *mat.Matrix, h int) {
 	}
 }
 
-// scatterHead writes src into head h's columns of dst, starting at row
-// rowOff; add accumulates instead of copying.
-func (a *MultiHeadAttention) scatterHead(dst *mat.Matrix, src *mat.Matrix, h, rowOff int, add bool) {
+// scatterHead writes src into head h's columns of dst; add accumulates
+// instead of copying.
+func (a *MultiHeadAttention) scatterHead(dst *mat.Matrix, src *mat.Matrix, h int, add bool) {
 	for i := 0; i < src.Rows; i++ {
-		d := dst.Row(rowOff + i)[h*a.dk : (h+1)*a.dk]
+		d := dst.Row(i)[h*a.dk : (h+1)*a.dk]
 		s := src.Row(i)
 		if add {
 			for j := range d {
@@ -92,17 +82,6 @@ func (a *MultiHeadAttention) Forward(x *mat.Matrix) *mat.Matrix {
 	a.v = alloc(a.arena, T, a.Dim)
 	mat.MulInto(a.v, x, a.Wv.W)
 	a.concat = alloc(a.arena, T, a.Dim)
-	bl := a.blockLen
-	if bl <= 0 || bl > T {
-		bl = T
-	}
-	if bl == 0 {
-		bl = 1 // empty input: zero blocks below
-	}
-	if T%bl != 0 {
-		failShape("attention: %d tokens not a multiple of block length %d", T, bl)
-	}
-	nb := T / bl
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.Heads; h++ {
 		qh := alloc(a.arena, T, a.dk)
@@ -111,33 +90,14 @@ func (a *MultiHeadAttention) Forward(x *mat.Matrix) *mat.Matrix {
 		a.headViewInto(kh, a.k, h)
 		vh := alloc(a.arena, T, a.dk)
 		a.headViewInto(vh, a.v, h)
-		if nb == 1 {
-			scores := alloc(a.arena, T, T)
-			mat.MulTInto(scores, qh, kh)
-			mat.Scale(scores, scale)
-			SoftmaxRowsInto(scores, scores)
-			a.attn[h] = scores
-			out := alloc(a.arena, T, a.dk)
-			mat.MulInto(out, scores, vh)
-			a.scatterHead(a.concat, out, h, 0, false)
-			continue
-		}
-		// Block-diagonal: each window attends only to itself. The attn
-		// cache is not kept — Backward after a batched forward is a
-		// programming error (batching is inference-only).
-		a.attn[h] = nil
-		for bi := 0; bi < nb; bi++ {
-			qb := qh.RowsView(bi*bl, (bi+1)*bl)
-			kb := kh.RowsView(bi*bl, (bi+1)*bl)
-			vb := vh.RowsView(bi*bl, (bi+1)*bl)
-			scores := alloc(a.arena, bl, bl)
-			mat.MulTInto(scores, &qb, &kb)
-			mat.Scale(scores, scale)
-			SoftmaxRowsInto(scores, scores)
-			ob := alloc(a.arena, bl, a.dk)
-			mat.MulInto(ob, scores, &vb)
-			a.scatterHead(a.concat, ob, h, bi*bl, false)
-		}
+		scores := alloc(a.arena, T, T)
+		mat.MulTInto(scores, qh, kh)
+		mat.Scale(scores, scale)
+		SoftmaxRowsInto(scores, scores)
+		a.attn[h] = scores
+		out := alloc(a.arena, T, a.dk)
+		mat.MulInto(out, scores, vh)
+		a.scatterHead(a.concat, out, h, false)
 	}
 	y := alloc(a.arena, T, a.Dim)
 	mat.MulInto(y, a.concat, a.Wo.W)
@@ -160,9 +120,6 @@ func (a *MultiHeadAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for h := 0; h < a.Heads; h++ {
 		attn := a.attn[h]
-		if attn == nil {
-			failShape("attention Backward after a block-diagonal (batched) Forward")
-		}
 		dOut := alloc(a.arena, T, a.dk)
 		a.headViewInto(dOut, dConcat, h)
 		qh := alloc(a.arena, T, a.dk)
@@ -186,9 +143,9 @@ func (a *MultiHeadAttention) Backward(grad *mat.Matrix) *mat.Matrix {
 		dKh := alloc(a.arena, T, a.dk)
 		mat.TMulInto(dKh, dScores, qh) // [T×dk]
 
-		a.scatterHead(dq, dQh, h, 0, true)
-		a.scatterHead(dk, dKh, h, 0, true)
-		a.scatterHead(dv, dVh, h, 0, true)
+		a.scatterHead(dq, dQh, h, true)
+		a.scatterHead(dk, dKh, h, true)
+		a.scatterHead(dv, dVh, h, true)
 	}
 	for _, wp := range [3]struct {
 		p *Param

@@ -72,7 +72,8 @@ func ReconErrors(recon, target *mat.Matrix, weights []float64) []float64 {
 }
 
 // ReconErrorsInto is ReconErrors with a caller-owned destination of length
-// recon.Rows (the batched scoring path reuses one buffer per batch).
+// recon.Rows (the detector's window scorer writes straight into its
+// caller's score slice).
 func ReconErrorsInto(dst []float64, recon, target *mat.Matrix, weights []float64) {
 	m := float64(recon.Cols)
 	for i := 0; i < recon.Rows; i++ {

@@ -272,33 +272,12 @@ func wireLayer(l Layer, a *mat.Arena) {
 // signal does not drown the value signal.
 //
 // The returned matrix is arena-owned: it is valid until the model's next
-// Forward/ForwardWindows call. Callers that retain it longer must copy.
+// Forward call. Callers that retain it longer must copy.
 //
 //perf:hot
 func (r *Reconstructor) Forward(x *mat.Matrix, positions, segIDs []int) *mat.Matrix {
-	return r.ForwardWindows(x, x.Rows, positions, segIDs)
-}
-
-// ForwardWindows reconstructs a batch of equal-length windows stacked
-// row-wise into x [(B·winLen) × InputDim]. Attention is restricted to
-// winLen×winLen diagonal blocks, so the output is byte-identical to B
-// separate Forward calls over the individual windows — every other kernel
-// in the model is per-row. positions/segIDs follow the stacked layout.
-// The returned matrix is arena-owned (valid until the next forward call).
-//
-//perf:hot
-func (r *Reconstructor) ForwardWindows(x *mat.Matrix, winLen int, positions, segIDs []int) *mat.Matrix {
-	if winLen <= 0 {
-		winLen = x.Rows
-	}
-	if winLen > 0 && x.Rows%winLen != 0 {
-		failShape("ForwardWindows: %d rows not a multiple of window length %d", x.Rows, winLen)
-	}
 	if r.arena != nil {
 		r.arena.Reset()
-	}
-	for _, b := range r.blocks {
-		b.attn.blockLen = winLen
 	}
 	h := r.embed.Forward(x)
 	mat.Scale(h, math.Sqrt(float64(r.Config.ModelDim)))

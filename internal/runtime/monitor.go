@@ -26,7 +26,6 @@ import (
 	"nodesentry/internal/mat"
 	"nodesentry/internal/mts"
 	"nodesentry/internal/obs"
-	"nodesentry/internal/stats"
 )
 
 // Alert is one prioritized anomaly notification.
@@ -78,16 +77,8 @@ type Config struct {
 	// Logger, when non-nil, receives structured runtime events (job
 	// transitions at Debug, alert drops at Warn). Nil disables logging.
 	Logger *slog.Logger
-	// BatchWindows, when > 1, batches up to that many post-transition
-	// windows — across nodes sharing a cluster and detector epoch — into
-	// one stacked model invocation (core.ScoreFrameBatch). Scores and
-	// alerts are byte-identical to the sequential path; only dispatch cost
-	// changes. 0 or 1 disables batching.
+	// Deprecated: ignored (scores are identical either way).
 	BatchWindows int
-	// BatchMaxDelay bounds how long a queued window may wait for batch
-	// companions before being flushed anyway (default 250 ms). Tests that
-	// need deterministic batches set it high and call Flush explicitly.
-	BatchMaxDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -102,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CriticalFactor <= 0 {
 		c.CriticalFactor = 2
-	}
-	if c.BatchMaxDelay <= 0 {
-		c.BatchMaxDelay = 250 * time.Millisecond
 	}
 	return c
 }
@@ -321,12 +309,6 @@ type Monitor struct {
 
 	hooks atomic.Pointer[Hooks]
 
-	// batcher is non-nil iff Config.BatchWindows > 1; win caches the
-	// detector's window length so enqueueing needs no pool checkout
-	// (refreshed by SwapDetector).
-	batcher *windowBatcher
-	win     atomic.Int64
-
 	// reg is nil when observability is off; met's handles are then all
 	// nil no-ops. obsOn gates the timing reads (time.Now) the no-op
 	// handles cannot elide.
@@ -352,10 +334,6 @@ func NewMonitor(det *core.Detector, cfg Config) (*Monitor, error) {
 	}
 	m.epoch.Store(1)
 	m.met.epoch.Set(1)
-	m.win.Store(int64(det.WindowLen()))
-	if cfg.BatchWindows > 1 {
-		m.batcher = &windowBatcher{}
-	}
 	for i := 0; i < cfg.ScoringWorkers; i++ {
 		clone, err := det.Clone()
 		if err != nil {
@@ -411,10 +389,6 @@ func (m *Monitor) SwapDetector(det *core.Detector) (time.Duration, error) {
 	}
 	m.swapMu.Lock()
 	defer m.swapMu.Unlock()
-	// Score queued batched windows with the outgoing generation before the
-	// pool drains, so no window straddles the swap. Must run before taking
-	// closeMu's read side: the flush's alert deliveries acquire it too.
-	m.Flush()
 	m.closeMu.RLock()
 	defer m.closeMu.RUnlock()
 	start := time.Now()
@@ -424,7 +398,6 @@ func (m *Monitor) SwapDetector(det *core.Detector) (time.Duration, error) {
 		<-m.pool
 	}
 	epoch := m.epoch.Add(1)
-	m.win.Store(int64(det.WindowLen()))
 	for _, c := range clones {
 		m.pool <- pooled{det: c, epoch: epoch}
 	}
@@ -470,9 +443,6 @@ func (m *Monitor) ObserveJob(node string, job int64, start int64) {
 		m.log.Debug("job transition", "node", node, "job", job, "start", start)
 	}
 	st := m.state(node)
-	// Score any batched windows of the outgoing job before its state is
-	// reset, so their scores land in the job that produced them.
-	m.Flush()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.job = job
@@ -569,16 +539,6 @@ func (m *Monitor) Ingest(node string, ts int64, values []float64) {
 		st.pendTs = append(st.pendTs, ts)
 	}
 
-	if m.batcher != nil {
-		// Batched path: window copies join the cross-node queue; scoring
-		// happens at the next flush (queue full, max delay, or explicit).
-		m.enqueueWindows(st)
-		st.bufGauge.Set(float64(len(st.pending)))
-		st.mu.Unlock()
-		m.maybeFlush()
-		return
-	}
-
 	p := <-m.pool
 	win := p.det.WindowLen()
 	var emit []Alert
@@ -621,21 +581,22 @@ func (m *Monitor) absorbScores(det *core.Detector, st *nodeState, frame *mts.Nod
 	base := len(st.scores)
 	//lint:ignore hotalloc amortized: the history is trimmed below, so growth is O(1) per window
 	st.scores = append(st.scores, scores...)
-	preds := core.KSigmaThreshold(st.scores, m.cfg.Step, winSec, k)
-	st.lastThr = currentThreshold(st.scores, m.cfg.Step, winSec, k)
+	st.lastThr = core.KSigmaBound(st.scores, len(st.scores), m.cfg.Step, winSec, k)
 	if m.obsOn {
 		m.met.thrUpdates.Inc()
 		st.thrGauge.Set(st.lastThr)
 	}
 	var out []Alert
-	// Copy-on-alert: frame is pooled scratch (node scratch or a batcher
-	// frame), so diagnosis gets a private clone, made lazily on the first
-	// alert of the window. Anomaly-free windows — the common case — return
-	// their frame to the pool without copying anything.
+	// Copy-on-alert: frame is the node's scratch, so diagnosis gets a
+	// private clone, made lazily on the first alert of the window.
+	// Anomaly-free windows — the common case — copy nothing.
 	var diagFrame *mts.NodeFrame
 	for i := range scores {
 		gi := base + i
-		if !preds[gi] {
+		// Only the new window's indices are thresholded; the bound reads
+		// the same history KSigmaThreshold would over st.scores.
+		anomalous := st.scores[gi] > core.KSigmaBound(st.scores, gi, m.cfg.Step, winSec, k)
+		if !anomalous {
 			continue
 		}
 		ts := frame.TimeAt(i)
@@ -689,31 +650,6 @@ func exceedFactor(scores []float64, i, w int) float64 {
 		return 1
 	}
 	return scores[i] / mean
-}
-
-// currentThreshold reports the k-sigma bound the next sample will be
-// compared against (mean + k·sigma of the trailing window), mirroring
-// core.KSigmaThreshold's window and sigma-floor rules. Purely diagnostic:
-// it never feeds back into detection.
-func currentThreshold(scores []float64, step, windowSec int64, k float64) float64 {
-	w := int(windowSec / step)
-	if w < 4 {
-		w = 4
-	}
-	lo := len(scores) - w
-	if lo < 0 {
-		lo = 0
-	}
-	win := scores[lo:]
-	if len(win) == 0 {
-		return 0
-	}
-	mean, sd := stats.MeanStd(win)
-	floor := 0.1*mean + 1e-9
-	if sd < floor {
-		sd = floor
-	}
-	return mean + k*sd
 }
 
 func (m *Monitor) deliver(st *nodeState, a Alert) {
@@ -891,9 +827,6 @@ func (m *Monitor) collect() []NodeStatus {
 // panicking on a closed-channel send. Samples ingested after Close are
 // still scored; only their alerts are discarded.
 func (m *Monitor) Close() {
-	// Drain batched windows while the alert channel is still open; their
-	// deliveries take closeMu's read side, so flush before the write lock.
-	m.Flush()
 	m.closeMu.Lock()
 	defer m.closeMu.Unlock()
 	if m.closed {

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 
 	"nodesentry/internal/core"
 	"nodesentry/internal/dataset"
 	"nodesentry/internal/mts"
+	"nodesentry/internal/stats"
 	"nodesentry/internal/telemetry"
 )
 
@@ -217,4 +219,59 @@ func TestMonitorParallelIngest(t *testing.T) {
 		<-done
 	}
 	m.Close()
+}
+
+// refNextThreshold is the reference for the bound the next sample faces:
+// mean + k·sigma (sigma floored at 0.1·mean) over the last windowSec/step
+// (at least 4) scores of the history, 0 for an empty history.
+func refNextThreshold(scores []float64, step, windowSec int64, k float64) float64 {
+	w := int(windowSec / step)
+	if w < 4 {
+		w = 4
+	}
+	lo := len(scores) - w
+	if lo < 0 {
+		lo = 0
+	}
+	win := scores[lo:]
+	if len(win) == 0 {
+		return 0
+	}
+	mean, sd := stats.MeanStd(win)
+	floor := 0.1*mean + 1e-9
+	if sd < floor {
+		sd = floor
+	}
+	return mean + k*sd
+}
+
+// TestNodeStatusThresholdIsNextBound replays the evaluation slice and
+// checks every node's NodeStatus.Threshold bit for bit against the shared
+// k-sigma bound at t = len(history), and against the reference rule.
+func TestNodeStatusThresholdIsNextBound(t *testing.T) {
+	ds, det := fixture(t)
+	m, err := NewMonitor(det, Config{Step: ds.Step, AlertBuffer: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Replay(ds, m, ds.SplitTime(), ds.Horizon)
+	winSec, k := det.OnlineParams()
+	scored := 0
+	for _, ns := range m.Snapshot() {
+		st := m.nodes[ns.Node]
+		st.mu.Lock()
+		hist := append([]float64(nil), st.scores...)
+		st.mu.Unlock()
+		bound := core.KSigmaBound(hist, len(hist), ds.Step, winSec, k)
+		ref := refNextThreshold(hist, ds.Step, winSec, k)
+		if math.Float64bits(ns.Threshold) != math.Float64bits(bound) || math.Float64bits(bound) != math.Float64bits(ref) {
+			t.Errorf("node %s: Threshold %v, bound at len(history) %v, reference %v", ns.Node, ns.Threshold, bound, ref)
+		}
+		if len(hist) > 0 {
+			scored++
+		}
+	}
+	if scored == 0 {
+		t.Fatal("replay scored no node")
+	}
 }
